@@ -86,7 +86,11 @@ class FrozenGrammar:
 
     @classmethod
     def from_grammar(cls, grammar: Grammar) -> "FrozenGrammar":
-        """Freeze a mutable :class:`~repro.core.grammar.Grammar`."""
+        """Freeze a mutable :class:`~repro.core.grammar.Grammar`.
+
+        Reading ``grammar.rules`` settles a loop iteration the recorder's
+        cursor holds half-absorbed, so the snapshot is the slow path's.
+        """
         bodies: dict[int, tuple[tuple[int, int], ...]] = {}
         for rule in grammar.rules.values():
             body = tuple(

@@ -67,9 +67,14 @@ class PythiaRecord:
             "pythia_record_exponent_merges_total",
             help="Consecutive-repetition exponent merges while recording",
         )
+        self._m_loop = reg.counter(
+            "pythia_record_loop_events_total",
+            help="Events absorbed by the recorder's loop cursor (no Sequitur step)",
+        )
         self._unflushed_events = 0
         self._flushed_rules = 0
         self._flushed_merges = 0
+        self._flushed_loop = 0
 
     @property
     def event_count(self) -> int:
@@ -85,16 +90,20 @@ class PythiaRecord:
         """Submit one pre-interned event id."""
         if self._finished:
             raise RuntimeError("recorder already finished")
+        # validate everything before the grammar sees the event, so a
+        # rejected call leaves no trace
+        stamps = self._timestamps if self.record_timestamps else None
+        if stamps is not None:
+            if timestamp is None:
+                raise ValueError("record_timestamps=True requires a timestamp per event")
+            if stamps and timestamp < stamps[-1]:
+                raise ValueError("timestamps must be non-decreasing")
         self.grammar.append(terminal)
+        if stamps is not None:
+            stamps.append(float(timestamp))
         self._unflushed_events += 1
         if self._unflushed_events >= METRICS_FLUSH_EVERY:
             self.flush_metrics()
-        if self.record_timestamps:
-            if timestamp is None:
-                raise ValueError("record_timestamps=True requires a timestamp per event")
-            if self._timestamps and timestamp < self._timestamps[-1]:
-                raise ValueError("timestamps must be non-decreasing")
-            self._timestamps.append(float(timestamp))
 
     def record_event(
         self, name: str, payload: Hashable = None, timestamp: float | None = None
@@ -117,6 +126,10 @@ class PythiaRecord:
         if merges != self._flushed_merges:
             self._m_merges.inc(merges - self._flushed_merges)
             self._flushed_merges = merges
+        loop = self.grammar.loop_events
+        if loop != self._flushed_loop:
+            self._m_loop.inc(loop - self._flushed_loop)
+            self._flushed_loop = loop
 
     def finish(self) -> ThreadTrace:
         """Freeze the grammar (and build the timing table if recording times)."""

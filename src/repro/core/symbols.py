@@ -21,8 +21,8 @@ Symbol = Union[int, "Rule"]
 
 
 def is_terminal(sym: Symbol) -> bool:
-    """True if ``sym`` is a terminal event id."""
-    return isinstance(sym, int)
+    """True if ``sym`` is a terminal event id (``bool`` is not one)."""
+    return isinstance(sym, int) and not isinstance(sym, bool)
 
 
 class SymbolUse:

@@ -142,6 +142,8 @@ _METRIC_CATALOGUE: tuple[tuple[str, str], ...] = (
     ("pythia_record_rules_created_total", "Grammar rules created while recording"),
     ("pythia_record_exponent_merges_total",
      "Consecutive-repetition exponent merges while recording"),
+    ("pythia_record_loop_events_total",
+     "Events absorbed by the recorder's loop cursor (no Sequitur step)"),
     ("pythia_predict_observe_total", "Events observed by PYTHIA-PREDICT trackers"),
     ("pythia_predict_matched_total", "Observed events that matched an expectation"),
     ("pythia_predict_unexpected_total", "Observed events that mismatched (restart)"),

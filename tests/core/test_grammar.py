@@ -57,6 +57,13 @@ class TestAppendBasics:
         with pytest.raises(TypeError):
             g.append("a")  # type: ignore[arg-type]
 
+    def test_rejects_bool(self):
+        g = Grammar()
+        with pytest.raises(TypeError):
+            g.extend([1, True, 1, True])
+        assert len(g) == 1
+        assert g.unfold() == [1]
+
     def test_len_counts_terminals(self):
         seq = [A, B, A, B, A, A, A]
         g = build_grammar(seq)

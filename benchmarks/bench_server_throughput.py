@@ -348,7 +348,6 @@ def _bench_multi_worker(trace_path: str, tmp: str, workers: int, steps: int,
     section: dict = {
         "workers": workers,
         "cpu_count": os.cpu_count(),
-        "routing": "hash",
         "sessions": {},
     }
     failures: list[str] = []
@@ -520,7 +519,7 @@ def _bench_protocols(trace_path: str, tmp: str, events,
     # enough samples for a meaningful p99 even with the default steps
     rounds = max(1, 600 // max(1, len(events)))
     sock = os.path.join(tmp, "proto.sock")
-    section: dict = {"io_mode": "eventloop", "rounds": rounds}
+    section: dict = {"rounds": rounds}
     with OracleServer(sock, store=TraceStore(capacity=4)):
         if protocol in ("json", "both"):
             section["json_sync"] = _sync_round(

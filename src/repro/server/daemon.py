@@ -2,7 +2,8 @@
 
 :class:`OracleServer` listens on a Unix socket (TCP optionally) and
 speaks the length-prefixed JSON protocol of :mod:`repro.server.protocol`.
-Each connection is served by its own thread; each *session* owns one
+One ``selectors`` loop (:mod:`repro.server.eventloop`) serves every
+connection, slow ops aside on one sidecar thread; each *session* owns one
 :class:`~repro.core.predict.PythiaPredict` tracker over a bundle shared
 through the :class:`~repro.server.store.TraceStore`, so concurrently
 running applications predict from one long-lived process instead of
@@ -100,6 +101,7 @@ from repro.obs.log import get_logger
 from repro.obs.metrics import LATENCY_BUCKETS_S, Histogram, render_prometheus
 from repro.obs.process import register_process_metrics
 from repro.obs.sessions import DEFAULT_SESSION_CAPACITY, SessionEntry, SessionStats
+from repro.server.eventloop import ConnectionLoop
 from repro.server.protocol import (
     BIN_OPS,
     BIN_REQ,
@@ -109,7 +111,6 @@ from repro.server.protocol import (
     F_REQUIRE_MATCH,
     F_UNKNOWN_EVENT,
     F_WITH_TIME,
-    OP_JSON,
     OP_OBSERVE,
     OP_OBSERVE_PREDICT,
     OP_PREDICT,
@@ -117,17 +118,11 @@ from repro.server.protocol import (
     OP_REPLY_MATCHED,
     OP_REPLY_PREDICT,
     SRV_PAIR,
-    ConnectionClosed,
-    ProtocolError,
-    _parse_json_body,
     decode_payload,
-    encode_bin_error,
     encode_bin_frame,
     encode_bin_prediction,
     encode_json_body,
     encode_prediction,
-    read_frame_any,
-    write_frame,
 )
 from repro.server.store import TraceBundle, TraceStore
 
@@ -188,19 +183,10 @@ class _Session:
 
 
 def _latency_view(hist: Histogram) -> dict[str, float]:
-    """One op's latency for the ``stats`` op.
-
-    ``count`` / ``total_ms`` / ``mean_us`` / ``max_us`` reproduce the
-    pre-observability ``_LatencyAgg`` shape and are kept as a deprecated
-    alias for one release; the percentile keys are the replacement.
-    """
+    """One op's latency for the ``stats`` op: count and percentiles."""
     snap = hist.snapshot()
-    mean = snap["sum"] / snap["count"] if snap["count"] else 0.0
     return {
         "count": snap["count"],
-        "total_ms": round(snap["sum"] * 1e3, 3),
-        "mean_us": round(mean * 1e6, 3),
-        "max_us": round(snap["max"] * 1e6, 3),
         "p50_us": round(snap["p50"] * 1e6, 3),
         "p95_us": round(snap["p95"] * 1e6, 3),
         "p99_us": round(snap["p99"] * 1e6, 3),
@@ -230,16 +216,6 @@ class OracleServer:
         *listener-less* server (both ``socket_path`` and
         ``tcp_address`` ``None``) that only serves connections handed
         to it via :meth:`adopt`.
-    reuse_port:
-        Bind the TCP listener with ``SO_REUSEPORT`` so several worker
-        processes can share one port and let the kernel balance
-        accepts (the supervisor's ``routing="kernel"`` mode).
-    io_mode:
-        ``"eventloop"`` (default) serves data connections from one
-        ``selectors``-based loop (:mod:`repro.server.eventloop`);
-        ``"threads"`` keeps the original thread-per-connection model.
-        ``PYTHIA_SERVER_IO`` sets the default; both modes speak both
-        framings and behave identically.
     """
 
     def __init__(
@@ -252,32 +228,21 @@ class OracleServer:
         max_candidates_limit: int = 4096,
         session_stats_capacity: int = DEFAULT_SESSION_CAPACITY,
         worker_id: int | None = None,
-        reuse_port: bool = False,
-        io_mode: str | None = None,
     ) -> None:
         if socket_path is not None and tcp_address is not None:
             raise ValueError("socket_path and tcp_address are mutually exclusive")
         if socket_path is None and tcp_address is None and worker_id is None:
             raise ValueError("exactly one of socket_path / tcp_address required")
-        if reuse_port and tcp_address is None:
-            raise ValueError("reuse_port requires a tcp_address")
-        if io_mode is None:
-            io_mode = os.environ.get("PYTHIA_SERVER_IO", "eventloop")
-        if io_mode not in ("eventloop", "threads"):
-            raise ValueError("io_mode must be 'eventloop' or 'threads'")
         self.socket_path = os.fspath(socket_path) if socket_path is not None else None
         self.tcp_address = tcp_address
         self.worker_id = worker_id
-        self.reuse_port = reuse_port
-        self.io_mode = io_mode
-        self._loop = None  # ConnectionLoop while io_mode == "eventloop"
+        self._loop: ConnectionLoop | None = None  # while started
         self.store = store if store is not None else TraceStore()
         self.max_frame = max_frame
         self.max_candidates_limit = max_candidates_limit
         self._started = False
         self._listener: socket.socket | None = None
         self._accept_thread: threading.Thread | None = None
-        self._conn_threads: set[threading.Thread] = set()
         self._conns: dict[int, socket.socket] = {}
         self._running = threading.Event()
         self._draining = threading.Event()
@@ -344,12 +309,6 @@ class OracleServer:
         elif self.tcp_address is not None:
             listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
             listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-            if self.reuse_port:
-                if not hasattr(socket, "SO_REUSEPORT"):
-                    raise RuntimeError(
-                        "SO_REUSEPORT is not available on this platform"
-                    )
-                listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEPORT, 1)
             listener.bind(self.tcp_address)
         if listener is not None:
             listener.listen(128)
@@ -365,10 +324,7 @@ class OracleServer:
         self.history = obs_history.history_from_env()
         if self.history is not None:
             self.history.start()
-        if self.io_mode == "eventloop":
-            from repro.server.eventloop import ConnectionLoop
-
-            self._loop = ConnectionLoop(self).start()
+        self._loop = ConnectionLoop(self).start()
         if listener is not None:
             self._accept_thread = threading.Thread(
                 target=self._accept_loop, name="pythia-accept", daemon=True
@@ -443,25 +399,19 @@ class OracleServer:
         if self._accept_thread is not None:
             self._accept_thread.join(timeout=5)
         if self._loop is not None:
-            # the loop owns its sockets: it unregisters, closes and
-            # reaps them itself before the generic sweep below
+            # the loop unregisters, closes and reaps every socket it
+            # admitted before the sweep below
             self._loop.stop()
             self._loop = None
         with self._lock:
             conns = list(self._conns.values())
         for conn in conns:
-            # shutdown unblocks a connection thread parked in recv();
-            # close alone would leave it there until the client went away
-            try:
-                conn.shutdown(socket.SHUT_RDWR)
-            except OSError:
-                pass
+            # handed to the loop but never admitted (it stopped first):
+            # nothing else will ever close these
             try:
                 conn.close()
             except OSError:
                 pass
-        for t in list(self._conn_threads):
-            t.join(timeout=5)
         if self.socket_path is not None:
             try:
                 os.unlink(self.socket_path)
@@ -534,7 +484,7 @@ class OracleServer:
             self._spawn_connection(conn)
 
     def _spawn_connection(self, conn: socket.socket) -> int:
-        """Register ``conn`` and serve it on its own thread."""
+        """Register ``conn`` and hand it to the connection loop."""
         if conn.family in (socket.AF_INET, getattr(socket, "AF_INET6", -1)):
             # small request frame, blocking reply read: the exact shape
             # Nagle penalizes (see PythiaClient._connect)
@@ -546,17 +496,7 @@ class OracleServer:
         with self._lock:
             self.counters["connections_accepted"] += 1
             self._conns[conn_id] = conn
-        if self._loop is not None:
-            self._loop.add(conn, conn_id)
-            return conn_id
-        t = threading.Thread(
-            target=self._serve_connection,
-            args=(conn, conn_id),
-            name=f"pythia-conn-{conn_id}",
-            daemon=True,
-        )
-        self._conn_threads.add(t)
-        t.start()
+        self._loop.add(conn, conn_id)
         return conn_id
 
     def adopt(self, conn: socket.socket) -> int:
@@ -569,140 +509,7 @@ class OracleServer:
         """
         if not self._started or not self._running.is_set():
             raise RuntimeError("server is not running")
-        conn.settimeout(None)  # accepted sockets are blocking
         return self._spawn_connection(conn)
-
-    def _serve_connection(self, conn: socket.socket, conn_id: int) -> None:
-        """One client, fully isolated: its errors never leave this frame."""
-        # tracing binding: ``[sid, last_rid]``, set by the last full
-        # ``ctx`` seen on this connection.  Once bound, bare requests
-        # (no ctx at all) are traced implicitly with consecutive rids.
-        conn_ctx: list = [None, 0]
-        try:
-            while self._running.is_set():
-                try:
-                    frame = read_frame_any(conn, max_frame=self.max_frame)
-                except ProtocolError as exc:
-                    # bad framing is unrecoverable on a byte stream:
-                    # one final error frame if possible, then drop only
-                    # this connection — never keep reading garbage
-                    with self._lock:
-                        self.counters["connections_dropped"] += 1
-                    if not isinstance(exc, ConnectionClosed):
-                        self._try_send(
-                            conn, {"ok": False, "code": "protocol", "error": str(exc)}
-                        )
-                    return
-                if frame is None:
-                    return  # clean EOF
-                recv_ts = time.perf_counter()
-                request: dict | None = None
-                wrap = False  # reply inside an OP_JSON binary frame
-                if frame[0] == "json":
-                    request = frame[1]
-                else:
-                    _kind, opcode, bin_flags, bin_body = frame
-                    if opcode == OP_JSON:
-                        try:
-                            request = _parse_json_body(bin_body)
-                        except ProtocolError as exc:
-                            with self._lock:
-                                self.counters["connections_dropped"] += 1
-                            self._try_send(
-                                conn,
-                                {"ok": False, "code": "protocol", "error": str(exc)},
-                            )
-                            return
-                        wrap = True
-                with self._lock:
-                    rejected = self._draining.is_set() and (
-                        request is None
-                        or request.get("op") not in self._DRAIN_OPS
-                    )
-                    if rejected:
-                        self.counters["requests_rejected_draining"] += 1
-                    else:
-                        self._inflight += 1
-                if rejected:
-                    # late request during drain: refuse retryably (in
-                    # the request's own framing), keep the connection
-                    # so the client can close sessions
-                    reply = {
-                        "ok": False,
-                        "code": "shutting_down",
-                        "error": "daemon is draining; reconnect and retry",
-                    }
-                    if request is None:
-                        self._try_send_raw(
-                            conn, encode_bin_error(reply["code"], reply["error"])
-                        )
-                    elif wrap:
-                        self._try_send_raw(
-                            conn,
-                            encode_bin_frame(OP_JSON, 0, encode_json_body(reply)),
-                        )
-                    else:
-                        self._try_send(conn, reply)
-                    continue
-                try:
-                    if request is None:
-                        _kind, opcode, bin_flags, bin_body = frame
-                        reply_bytes = self._dispatch_binary(
-                            opcode, bin_flags, bin_body, conn_id, recv_ts, conn_ctx
-                        )
-                        try:
-                            conn.sendall(reply_bytes)
-                        except OSError:
-                            return
-                    else:
-                        response, extra = self._dispatch(
-                            request, conn_id, recv_ts, conn_ctx
-                        )
-                        try:
-                            if wrap:
-                                conn.sendall(encode_bin_frame(
-                                    OP_JSON, 0,
-                                    encode_json_body(response, extra=extra),
-                                    max_frame=self.max_frame,
-                                ))
-                            else:
-                                write_frame(
-                                    conn, response,
-                                    max_frame=self.max_frame, extra=extra,
-                                )
-                        except OSError:
-                            return
-                finally:
-                    with self._lock:
-                        self._inflight -= 1
-        except Exception:
-            # last-ditch isolation: an unexpected bug serving this client
-            # must not unwind into the daemon
-            with self._lock:
-                self.counters["connections_dropped"] += 1
-        finally:
-            try:
-                conn.close()
-            except OSError:
-                pass
-            self._close_owned_sessions(conn_id)
-            with self._lock:
-                self._conns.pop(conn_id, None)
-            self._conn_threads.discard(threading.current_thread())
-
-    @staticmethod
-    def _try_send(conn: socket.socket, obj: dict) -> None:
-        try:
-            write_frame(conn, obj)
-        except OSError:
-            pass
-
-    @staticmethod
-    def _try_send_raw(conn: socket.socket, data: bytes) -> None:
-        try:
-            conn.sendall(data)
-        except OSError:
-            pass
 
     def _close_owned_sessions(self, conn_id: int) -> None:
         with self._lock:

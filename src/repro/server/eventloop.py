@@ -1,11 +1,10 @@
 """``selectors``-based connection serving for the oracle daemon.
 
-Thread-per-connection was fine while a handful of applications talked
-to the daemon, but protocol v2's pipelining changes the shape of the
-load: one client may keep dozens of requests in flight, and a runtime
-host can hold hundreds of mostly-idle connections open.  A parked
-thread per connection costs a stack and a scheduler slot for nothing;
-an event loop costs one registered fd.
+This is the daemon's only data path.  Protocol v2's pipelining means
+one client may keep dozens of requests in flight, and a runtime host
+can hold hundreds of mostly-idle connections open: an event loop costs
+one registered fd per connection where a thread would cost a stack and
+a scheduler slot.
 
 :class:`ConnectionLoop` serves every *data* connection of an
 :class:`~repro.server.daemon.OracleServer` from a single selector
@@ -29,14 +28,15 @@ thread:
 - a framing violation gets one final error frame and then the
   connection is closed: after a bad length announcement the byte
   stream has no resync point, and the parser stays poisoned so the
-  loop can never read garbage as frames.
+  loop can never read garbage as frames;
+- any other unexpected error while handling one connection's event
+  counts ``connections_dropped`` and closes that connection only: the
+  loop, and every other client, keeps going.
 
-Accounting — counters, ``_inflight`` for drain, drain-time rejection
-with the retryable ``shutting_down`` code, per-(op, proto) latency
-histograms, session telemetry — goes through the server's own
-``_dispatch`` / ``_dispatch_binary``, so both io modes are
-behaviorally identical; ``PYTHIA_SERVER_IO=threads`` brings the old
-mode back.
+Accounting — counters, ``_inflight`` for drain, per-(op, proto)
+latency histograms, session telemetry — goes through the server's own
+``_dispatch`` / ``_dispatch_binary``; the loop adds drain-time
+rejection with the retryable ``shutting_down`` code.
 """
 
 from __future__ import annotations
@@ -92,8 +92,7 @@ class _Conn:
         self.conn_id = conn_id
         self.parser = FrameParser(max_frame)
         self.out = bytearray()
-        #: tracing binding ``[sid, last_rid]`` — same shape the threaded
-        #: serve loop passes to ``_dispatch``
+        #: tracing binding ``[sid, last_rid]``, passed to ``_dispatch``
         self.ctx: list = [None, 0]
         self.busy = False  # a slow op is in flight on the sidecar
         self.eof = False  # peer EOF seen; close once idle and flushed
@@ -197,10 +196,13 @@ class ConnectionLoop:
                     continue
                 if conn.closed:
                     continue
-                if mask & selectors.EVENT_READ:
-                    self._on_readable(conn)
-                if mask & selectors.EVENT_WRITE and not conn.closed:
-                    self._flush(conn)
+                try:
+                    if mask & selectors.EVENT_READ:
+                        self._on_readable(conn)
+                    if mask & selectors.EVENT_WRITE and not conn.closed:
+                        self._flush(conn)
+                except Exception as exc:
+                    self._drop(conn, exc)
 
     def _drain_wakeup(self) -> None:
         assert self._wake_r is not None
@@ -243,7 +245,10 @@ class ConnectionLoop:
                 self._flush(conn)
                 continue
             conn.out += reply
-            self._pump(conn)
+            try:
+                self._pump(conn)
+            except Exception as exc:
+                self._drop(conn, exc)
 
     # -- per-connection events ------------------------------------------
 
@@ -342,8 +347,8 @@ class ConnectionLoop:
         try:
             reply = self._execute(conn, request, frame, wrap, recv_ts)
         except Exception:
-            # mirrors the threaded loop's last-ditch isolation (e.g. a
-            # reply that outgrew max_frame): drop only this connection
+            # e.g. a reply that outgrew max_frame: flush what is queued,
+            # then drop only this connection
             with server._lock:
                 server.counters["connections_dropped"] += 1
             conn.closing = True
@@ -426,6 +431,15 @@ class ConnectionLoop:
                 self._sel.modify(sock, selectors.EVENT_READ, conn)
             if conn.closing:
                 self._close(conn)
+
+    def _drop(self, conn: _Conn, exc: Exception) -> None:
+        """An unexpected error serving ``conn``: close it, and only it."""
+        _log.warning("connection_dropped", conn=conn.conn_id,
+                     error=f"{type(exc).__name__}: {exc}")
+        server = self._server
+        with server._lock:
+            server.counters["connections_dropped"] += 1
+        self._close(conn)
 
     def _close(self, conn: _Conn) -> None:
         if conn.closed:

@@ -247,20 +247,19 @@ def read_frame(sock: socket.socket, *, max_frame: int = DEFAULT_MAX_FRAME) -> di
     body = _recv_exact(sock, length) if length else b""
     if body is None:
         raise ConnectionClosed("connection closed mid-frame", partial=True)
-    try:
-        obj = json.loads(body.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise ProtocolError(f"frame body is not valid JSON: {exc}") from exc
-    if not isinstance(obj, dict):
-        raise ProtocolError(f"frame body must be a JSON object, got {type(obj).__name__}")
-    return obj
+    return _parse_json_body(body)
 
 
 def _parse_json_body(body: bytes) -> dict:
+    """A frame body as a JSON object, or :class:`ProtocolError`."""
     try:
         obj = json.loads(body.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ProtocolError(f"frame body is not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        # a few thousand "[" are enough; it must stay a framing
+        # error, never an exception that escapes the serving loop
+        raise ProtocolError("frame body nests too deeply") from exc
     if not isinstance(obj, dict):
         raise ProtocolError(f"frame body must be a JSON object, got {type(obj).__name__}")
     return obj

@@ -806,7 +806,7 @@ class TestWorkerCrashUnderSupervisor:
             sup.stop()
 
 
-@pytest.mark.parametrize("io_mode", ["eventloop", "threads"])
+@pytest.mark.usefixtures("eventloop")
 class TestPipelinedDrain:
     """Satellite: pipelined requests racing SIGTERM drain.
 
@@ -819,16 +819,14 @@ class TestPipelinedDrain:
     """
 
     def test_late_pipelined_ops_rejected_in_order_then_resync(
-        self, tmp_path, trace_path, io_mode
+        self, tmp_path, trace_path
     ):
         from repro.server.client import OracleServiceError
 
         events = record_loop_trace(str(tmp_path / "again.pythia"))
         sock_path = str(tmp_path / "oracle.sock")
         local = Pythia(trace_path, mode="predict")
-        srv = OracleServer(
-            sock_path, store=TraceStore(), io_mode=io_mode
-        ).start()
+        srv = OracleServer(sock_path, store=TraceStore()).start()
         client = PythiaClient(trace_path, socket=sock_path, retry=FAST_RETRY)
         try:
             # phase 1: a pipelined window completes before any drain
@@ -862,9 +860,7 @@ class TestPipelinedDrain:
         # phase 3: a replacement daemon on the same path; the client
         # reconnects, replays its ring (exactly the 30 confirmed events)
         # and the retried tail stays byte-identical with the local oracle
-        srv2 = OracleServer(
-            sock_path, store=TraceStore(), io_mode=io_mode
-        ).start()
+        srv2 = OracleServer(sock_path, store=TraceStore()).start()
         try:
             remote_tail = [
                 pred_key(client.event_and_predict(n, p)[1])
@@ -881,7 +877,7 @@ class TestPipelinedDrain:
             srv2.stop()
 
     def test_burst_racing_drain_has_monotone_cutover(
-        self, tmp_path, trace_path, io_mode
+        self, tmp_path, trace_path
     ):
         """A pipelined burst genuinely racing the drain gate: replies
         stay in order and flip from success to shutting_down exactly
@@ -890,9 +886,7 @@ class TestPipelinedDrain:
 
         events = record_loop_trace(str(tmp_path / "again.pythia"))
         sock_path = str(tmp_path / "oracle.sock")
-        srv = OracleServer(
-            sock_path, store=TraceStore(), io_mode=io_mode
-        ).start()
+        srv = OracleServer(sock_path, store=TraceStore()).start()
         client = PythiaClient(trace_path, socket=sock_path, retry=FAST_RETRY)
         results = []
 

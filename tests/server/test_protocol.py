@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import socket
 import struct
+import threading
 import time
 
 import pytest
@@ -90,6 +91,13 @@ class TestFrames:
         a, b = pair
         write_frame(a, {})
         assert read_frame(b) == {}
+
+    def test_too_deeply_nested_body_rejected(self, pair):
+        a, b = pair
+        body = b"[" * 5000 + b"]" * 5000
+        a.sendall(struct.pack(">I", len(body)) + body)
+        with pytest.raises(ProtocolError, match="nests too deeply"):
+            read_frame(b)
 
 
 class TestPayloadEncoding:
@@ -320,23 +328,20 @@ class TestPayloadConvention:
 # ----------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("io_mode", ["eventloop", "threads"])
 class TestDaemonFrameTooLarge:
     @pytest.fixture
-    def live(self, tmp_path, io_mode):
+    def live(self, tmp_path, eventloop):
         from repro.server import OracleServer, TraceStore
 
         sockp = str(tmp_path / "oracle.sock")
-        with OracleServer(
-            sockp, store=TraceStore(capacity=2), io_mode=io_mode
-        ) as srv:
+        with OracleServer(sockp, store=TraceStore(capacity=2)) as srv:
             conn = socket.socket(socket.AF_UNIX)
             conn.connect(sockp)
             conn.settimeout(5.0)
             yield srv, conn
             conn.close()
 
-    def test_oversized_announcement_gets_error_then_close(self, live, io_mode):
+    def test_oversized_announcement_gets_error_then_close(self, live):
         srv, conn = live
         # a healthy request first: the violation is mid-stream
         write_frame(conn, {"op": "ping"})
@@ -348,7 +353,7 @@ class TestDaemonFrameTooLarge:
         assert conn.recv(1) == b""
         assert srv.counters["connections_dropped"] == 1
 
-    def test_oversized_binary_announcement_also_closes(self, live, io_mode):
+    def test_oversized_binary_announcement_also_closes(self, live):
         srv, conn = live
         write_frame(conn, {"op": "ping"})
         assert read_frame(conn)["ok"] is True
@@ -358,7 +363,7 @@ class TestDaemonFrameTooLarge:
         assert reply["ok"] is False and reply["code"] == "protocol"
         assert conn.recv(1) == b""
 
-    def test_garbage_after_violation_is_never_parsed(self, live, io_mode):
+    def test_garbage_after_violation_is_never_parsed(self, live):
         srv, conn = live
         # oversized announcement followed immediately by bytes that
         # *look* like a valid frame: the daemon must not execute it
@@ -385,3 +390,79 @@ class TestDaemonFrameTooLarge:
             time.sleep(0.01)
         assert srv.counters["connections_dropped"] == 1
         assert srv.counters["sessions_opened"] == 0
+
+
+def _ping(conn: socket.socket) -> dict:
+    write_frame(conn, {"op": "ping"})
+    return read_frame(conn)
+
+
+class TestDaemonConnectionIsolation:
+    """One connection's failure never reaches the loop serving the rest."""
+
+    @pytest.fixture
+    def live(self, tmp_path):
+        from repro.server import OracleServer, TraceStore
+
+        sockp = str(tmp_path / "oracle.sock")
+        conns: list[socket.socket] = []
+
+        def connect() -> socket.socket:
+            conn = socket.socket(socket.AF_UNIX)
+            conn.settimeout(5.0)  # a dead loop fails the test, never hangs it
+            conn.connect(sockp)
+            conns.append(conn)
+            return conn
+
+        with OracleServer(sockp, store=TraceStore(capacity=2)) as srv:
+            yield srv, connect
+            for conn in conns:
+                conn.close()
+
+    def test_deeply_nested_frame_drops_only_its_connection(self, live):
+        srv, connect = live
+        other = connect()
+        assert _ping(other)["pong"] is True
+        bad = connect()
+        # 400 KB, well under max_frame; json.loads recurses past its limit
+        body = b"[" * 200_000 + b"]" * 200_000
+        bad.sendall(struct.pack(">I", len(body)) + body)
+        reply = read_frame(bad)
+        assert reply["ok"] is False and reply["code"] == "protocol"
+        assert bad.recv(1) == b""
+        assert _ping(other)["pong"] is True
+        assert _ping(connect())["pong"] is True
+        assert srv.counters["connections_dropped"] == 1
+
+    def test_unexpected_error_drops_only_its_connection(self, live, monkeypatch):
+        from repro.server.eventloop import ConnectionLoop
+
+        srv, connect = live
+        other = connect()
+        assert _ping(other)["pong"] is True
+        real = ConnectionLoop._on_readable
+        fired: list[bool] = []
+
+        def failing_once(loop, conn):
+            if not fired:
+                fired.append(True)
+                raise RuntimeError("injected handler bug")
+            return real(loop, conn)
+
+        monkeypatch.setattr(ConnectionLoop, "_on_readable", failing_once)
+        bad = connect()
+        write_frame(bad, {"op": "ping"})
+        try:
+            assert read_frame(bad) is None  # closed, without a reply
+        except ConnectionResetError:
+            pass  # closed with our request unread: also dead
+        assert _ping(other)["pong"] is True
+        assert srv.counters["connections_dropped"] == 1
+
+    def test_idle_connections_start_no_threads(self, live):
+        _srv, connect = live
+        before = threading.active_count()
+        conns = [connect() for _ in range(32)]
+        for conn in conns:
+            assert _ping(conn)["pong"] is True  # admitted by the loop
+        assert threading.active_count() == before

@@ -3,14 +3,13 @@
 The acceptance bar for the binary framing is *byte-identical*
 predictions: the same event stream, pushed over length-prefixed JSON,
 over binary frames, and over the pipelined binary path, must produce
-exactly the predictions the in-process oracle produces.  Everything
-here runs against both daemon I/O models (the selectors event loop and
-thread-per-connection).
+exactly the predictions the in-process oracle produces.
 """
 
 from __future__ import annotations
 
 import socket
+import struct
 import threading
 
 import pytest
@@ -49,12 +48,10 @@ def event_stream(trace_path: str, thread: int = 0, limit: int = 300):
     ][:limit]
 
 
-@pytest.fixture(params=["eventloop", "threads"])
-def server(request, tmp_path):
+@pytest.fixture
+def server(eventloop, tmp_path):
     sock = str(tmp_path / "oracle.sock")
-    with OracleServer(
-        sock, store=TraceStore(capacity=4), io_mode=request.param
-    ) as srv:
+    with OracleServer(sock, store=TraceStore(capacity=4)) as srv:
         yield srv
 
 
@@ -268,6 +265,12 @@ class TestSupervisorPeekBothFramings:
         request = {"op": "observe", "session": "s1", "ctx": {"sid": "c1", "rid": 9}}
         a.sendall(encode_bin_frame(OP_JSON, 0, encode_json_body(request)))
         assert router._peek_first_frame(b) == request
+
+    def test_too_deeply_nested_frame_routes_blind(self, router, pair):
+        a, b = pair
+        body = b"[" * 5000 + b"]" * 5000
+        a.sendall(struct.pack(">I", len(body)) + body)
+        assert router._peek_first_frame(b) is None
 
     def test_bare_binary_frame_routes_blind(self, router, pair):
         a, b = pair

@@ -15,7 +15,6 @@ this module covers the supervisor's steady-state contract:
 
 from __future__ import annotations
 
-import socket as socket_mod
 from types import SimpleNamespace
 
 import pytest
@@ -91,11 +90,9 @@ class TestValidation:
     def test_rejects_bad_worker_count_and_routing(self):
         with pytest.raises(ValueError):
             OracleSupervisor("/tmp/x.sock", workers=0)
-        with pytest.raises(ValueError):
-            OracleSupervisor("/tmp/x.sock", workers=2, routing="magic")
-        with pytest.raises(ValueError):
-            # kernel routing cannot balance a unix socket
-            OracleSupervisor("/tmp/x.sock", workers=2, routing="kernel")
+        with pytest.raises(TypeError):
+            # consistent-hash routing is the only mode: nothing to pick
+            OracleSupervisor("/tmp/x.sock", workers=2, routing="hash")
 
 
 @pytest.fixture(scope="module")
@@ -237,16 +234,13 @@ class TestRoutedServing:
             sock.close()
 
 
-class TestKernelRouting:
-    @pytest.mark.skipif(
-        not hasattr(socket_mod, "SO_REUSEPORT"), reason="no SO_REUSEPORT"
-    )
-    def test_tcp_reuseport_smoke(self, tmp_path):
+class TestTcpListener:
+    def test_tcp_hash_routed_smoke(self, tmp_path):
+        """The supervisor's TCP listener routes like its Unix one."""
         trace_path = str(tmp_path / "ref.pythia")
         events = record_loop_trace(trace_path)
         sup = OracleSupervisor(
-            tcp_address=("127.0.0.1", 0), workers=2,
-            routing="kernel", drain_deadline=1.0,
+            tcp_address=("127.0.0.1", 0), workers=2, drain_deadline=1.0,
         )
         sup.start()
         try:
@@ -260,6 +254,8 @@ class TestKernelRouting:
                 cm, cp = client.event_and_predict(name, payload, distance=2)
                 assert (lm, pred_key(lp)) == (cm, pred_key(cp))
             assert client.worker in (0, 1)
+            # handed over by fd passing, not accepted by a worker
+            assert sup._workers[client.worker].routed >= 1
             client.finish()
         finally:
             sup.stop()

@@ -124,9 +124,7 @@ from repro.server.protocol import (
     encode_bin_frame,
     encode_json_frame,
     encode_payload,
-    read_frame,
     read_frame_any,
-    write_frame,
 )
 
 __all__ = ["OraclePipeline", "OracleServiceError", "PythiaClient", "RetryPolicy"]
@@ -382,11 +380,6 @@ class PythiaClient:
         self._flight = FlightRecorder(
             64, session=f"client.{os.path.basename(self.trace_path)}"
         )
-        #: preallocated send buffer: requests are small (tens of bytes
-        #: steady-state), so one reused 4 KiB scratch removes the
-        #: header+body concat allocation from every round trip; larger
-        #: frames (batch resyncs) fall back to the allocating path
-        self._send_buf = bytearray(4096)
         #: worker id the daemon advertised at open_session (multi-worker
         #: deployments; None for a single-process daemon)
         self._worker: int | None = None
@@ -549,37 +542,11 @@ class PythiaClient:
         """
         assert self._sock is not None
         traced = self._ctx
-        extra = None
-        bin_frame = None
-        if self._proto_state == "binary" and (not traced or self._sid_bound):
-            # a binary frame carries no ctx: while unbound, a traced
-            # client keeps stamping JSON so the daemon binds (and the
-            # supervisor routes) its identity first
-            bin_frame = self._bin_encode_request(request)
-        if traced:
-            self._rid += 1
-            if not self._sid_bound:
-                extra = self._ctx_prefix + str(self._rid) + "}"
-            # else: nothing to stamp — the daemon counts this request's
-            # rid itself on the bound connection (the stream delivers in
-            # order, so both counters stay in lockstep)
-        t0 = perf_counter()
         try:
-            if bin_frame is not None:
-                self._sock.sendall(bin_frame)
-                reply = read_frame_any(self._sock, max_frame=self.max_frame)
-                if reply is None:
-                    raise ProtocolError("daemon closed the connection")
-                response = (
-                    reply[1] if reply[0] == "json"
-                    else self._bin_decode_reply(reply)
-                )
-            else:
-                write_frame(self._sock, request, max_frame=self.max_frame,
-                            extra=extra, scratch=self._send_buf)
-                response = read_frame(self._sock, max_frame=self.max_frame)
-                if response is None:
-                    raise ProtocolError("daemon closed the connection")
+            frame = self._encode(request)
+            t0 = perf_counter()
+            self._sock.sendall(frame)
+            response = self._read_reply(self._sock)
         except (OSError, ProtocolError) as exc:
             self._invalidate_connection()
             raise _RetryableFailure(exc) from exc
@@ -599,20 +566,16 @@ class PythiaClient:
                 pend = self._timing_pending[op] = ([], [], [], [])
             pend[0].append(total_s)
             queue_s = handler_s = None
-            if srv is not None:
-                # the daemon echoed timing: our identity is bound to
-                # this connection, no stamp is needed from here on
-                self._sid_bound = True
-                if type(srv) is list and len(srv) == 2:
-                    try:
-                        queue_s = srv[0] / 1e6
-                        handler_s = srv[1] / 1e6
-                    except TypeError:  # malformed pair: total-only
-                        queue_s = handler_s = None
-                    else:
-                        pend[1].append(total_s)
-                        pend[2].append(queue_s)
-                        pend[3].append(handler_s)
+            if type(srv) is list and len(srv) == 2:
+                try:
+                    queue_s = srv[0] / 1e6
+                    handler_s = srv[1] / 1e6
+                except TypeError:  # malformed pair: total-only
+                    queue_s = handler_s = None
+                else:
+                    pend[1].append(total_s)
+                    pend[2].append(queue_s)
+                    pend[3].append(handler_s)
             self._lr_op = op
             self._lr_rid = self._rid
             self._lr_total = total_s
@@ -684,6 +647,46 @@ class PythiaClient:
             )
         self._hello_done = True
 
+    def _encode(self, request: dict) -> bytes:
+        """The one request encoder: ``request`` as a wire frame.
+
+        Picks the framing — binary when the connection negotiated it
+        and the request has a binary spelling, JSON otherwise — and
+        stamps tracing context: every transmitted attempt takes a fresh
+        rid (a retry must never reuse one).  A binary frame carries no
+        ctx, so while unbound a traced client stays on JSON and stamps
+        it, letting the daemon bind (and the supervisor route) its
+        identity first.  Once bound, nothing is stamped: the daemon
+        counts this request's rid itself (the stream delivers in order,
+        so both counters stay in lockstep).
+        """
+        traced = self._ctx
+        if traced:
+            self._rid += 1
+        if self._proto_state == "binary" and (not traced or self._sid_bound):
+            frame = self._bin_encode_request(request)
+            if frame is not None:
+                return frame
+        extra = None
+        if traced and not self._sid_bound:
+            extra = self._ctx_prefix + str(self._rid) + "}"
+        return encode_json_frame(request, max_frame=self.max_frame, extra=extra)
+
+    def _read_reply(self, sock: socket.socket) -> dict:
+        """The one reply decoder: the next reply, either framing, as a
+        response dict.
+
+        A reply carrying ``srv`` proves the daemon bound our identity to
+        this connection: no stamp is needed from here on.
+        """
+        reply = read_frame_any(sock, max_frame=self.max_frame)
+        if reply is None:
+            raise ProtocolError("daemon closed the connection")
+        response = reply[1] if reply[0] == "json" else self._bin_decode_reply(reply)
+        if "srv" in response:
+            self._sid_bound = True
+        return response
+
     def _bin_encode_request(self, request: dict) -> bytes | None:
         """The binary frame for ``request``, or None when it has no
         binary spelling (batches, unknown snum, missing registry,
@@ -732,10 +735,9 @@ class PythiaClient:
     def _bin_decode_reply(reply: tuple) -> dict:
         """A binary reply frame -> the JSON-shaped response dict.
 
-        ``_pred_decoded`` marks an already-materialized
-        :class:`Prediction` so the facade skips ``decode_prediction``;
-        ``srv`` is rebuilt from the :data:`F_HAS_SRV` prefix so the
-        timing decomposition path is framing-blind.
+        ``prediction`` is already a :class:`Prediction`; ``srv`` is
+        rebuilt from the :data:`F_HAS_SRV` prefix so the timing
+        decomposition path is framing-blind.
         """
         _kind, opcode, flags, body = reply
         offset = 0
@@ -754,7 +756,6 @@ class PythiaClient:
                 "ok": True,
                 "matched": bool(flags & F_MATCHED),
                 "prediction": decode_bin_prediction(flags, body, offset),
-                "_pred_decoded": True,
             }
         else:
             raise ProtocolError(f"unexpected binary reply opcode 0x{opcode:02x}")
@@ -766,7 +767,7 @@ class PythiaClient:
     def _pred(response: dict) -> Prediction | None:
         """The reply's prediction, whichever framing delivered it."""
         pred = response.get("prediction")
-        if response.get("_pred_decoded"):
+        if isinstance(pred, Prediction):
             return pred
         return decode_prediction(pred)
 
@@ -1433,20 +1434,7 @@ class OraclePipeline:
             "with_time": with_time,
             "require_match": require_match,
         }
-        traced = client._ctx
-        frame = None
-        if client._proto_state == "binary" and (not traced or client._sid_bound):
-            frame = client._bin_encode_request(request)
-        extra = None
-        if traced:
-            client._rid += 1
-            if not client._sid_bound:
-                extra = client._ctx_prefix + str(client._rid) + "}"
-        if frame is None:
-            frame = encode_json_frame(
-                request, max_frame=client.max_frame, extra=extra
-            )
-        self._buf += frame
+        self._buf += client._encode(request)
         self._inflight.append((name, payload))
         if len(self._inflight) >= self.window or len(self._buf) >= self.FLUSH_BYTES:
             self._cycle()
@@ -1475,16 +1463,8 @@ class OraclePipeline:
             sock.sendall(self._buf)
             self._buf.clear()
             for item in self._inflight:
-                reply = read_frame_any(sock, max_frame=client.max_frame)
-                if reply is None:
-                    raise ProtocolError("daemon closed the connection")
-                response = (
-                    reply[1] if reply[0] == "json"
-                    else client._bin_decode_reply(reply)
-                )
+                response = client._read_reply(sock)
                 self.times.append(perf_counter())
-                if response.get("srv") is not None:
-                    client._sid_bound = True
                 if response.get("ok"):
                     self.results.append(
                         (response["matched"], client._pred(response))

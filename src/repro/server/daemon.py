@@ -1,18 +1,32 @@
 """The oracle daemon: many clients, one trace store, one process.
 
 :class:`OracleServer` listens on a Unix socket (TCP optionally) and
-speaks the length-prefixed JSON protocol of :mod:`repro.server.protocol`.
-One ``selectors`` loop (:mod:`repro.server.eventloop`) serves every
-connection, slow ops aside on one sidecar thread; each *session* owns one
+speaks the protocol of :mod:`repro.server.protocol`: length-prefixed
+JSON, plus binary frames for the three hot ops.  One ``selectors`` loop
+(:mod:`repro.server.eventloop`) serves every connection, slow ops aside
+on one sidecar thread; each *session* owns one
 :class:`~repro.core.predict.PythiaPredict` tracker over a bundle shared
 through the :class:`~repro.server.store.TraceStore`, so concurrently
 running applications predict from one long-lived process instead of
 each reloading the grammar.
 
+Every request, whichever framing carried it, takes one path: the loop
+decodes the frame into a request dict, :meth:`OracleServer._dispatch`
+runs its handler inside one accounting block (counters, per-(op, proto)
+latency, queue time, session telemetry, span, ``srv`` timing), and the
+loop encodes the handler's result — :class:`Prediction` objects
+included — back into the request's framing.  A binary hot request is
+the same dict with ``snum`` for ``session`` and a pre-resolved
+``terminal`` (``None`` for an event the registry lacks) for
+``name``/``payload``; the resolve step (``_session``, ``_event``)
+reads either spelling, so every op below has one implementation.
+
 Request ops
 -----------
 ``open_session``   ``{trace, thread=0, max_candidates=64, with_registry=false}``
 ``observe``        ``{session, name, payload=null}`` -> ``{matched}``
+                   (``snum`` may stand for ``session``, ``terminal``
+                   for ``name``/``payload``, in every hot op)
 ``observe_batch``  ``{session, events: [[name, payload], ...]}`` -> ``{matched: [...]}``
 ``observe_predict`` ``{session, name, payload=null | events, distance=1,
                    with_time=false, require_match=false}``
@@ -82,7 +96,6 @@ import itertools
 import os
 import signal
 import socket
-import struct
 import threading
 import time
 from dataclasses import dataclass, field
@@ -102,28 +115,7 @@ from repro.obs.metrics import LATENCY_BUCKETS_S, Histogram, render_prometheus
 from repro.obs.process import register_process_metrics
 from repro.obs.sessions import DEFAULT_SESSION_CAPACITY, SessionEntry, SessionStats
 from repro.server.eventloop import ConnectionLoop
-from repro.server.protocol import (
-    BIN_OPS,
-    BIN_REQ,
-    DEFAULT_MAX_FRAME,
-    F_HAS_SRV,
-    F_MATCHED,
-    F_REQUIRE_MATCH,
-    F_UNKNOWN_EVENT,
-    F_WITH_TIME,
-    OP_OBSERVE,
-    OP_OBSERVE_PREDICT,
-    OP_PREDICT,
-    OP_REPLY_ERROR,
-    OP_REPLY_MATCHED,
-    OP_REPLY_PREDICT,
-    SRV_PAIR,
-    decode_payload,
-    encode_bin_frame,
-    encode_bin_prediction,
-    encode_json_body,
-    encode_prediction,
-)
+from repro.server.protocol import DEFAULT_MAX_FRAME, decode_payload
 from repro.server.store import TraceBundle, TraceStore
 
 __all__ = ["OracleServer", "RequestError"]
@@ -548,20 +540,26 @@ class OracleServer:
         conn_id: int,
         recv_ts: float | None = None,
         conn_ctx: list | None = None,
-    ) -> tuple[dict, str | None]:
-        """Handle one request; returns ``(response, extra)``.
+        proto: str = "json",
+    ) -> tuple[dict, tuple[int, int] | None]:
+        """Handle one request of either framing; returns ``(response, srv)``.
 
-        ``extra`` is the reply's pre-serialized ``srv`` timing fragment
-        (or ``None`` for untraced requests) — spliced into the frame by
-        the serve loop so the per-reply timing never pays the JSON
-        encoder.  ``conn_ctx`` is the connection's ``[sid, last_rid]``
-        binding: a full ``ctx`` stores its identity there, and bare
-        requests on a bound connection inherit the sid with the next
+        Every request passes through here once, whichever framing
+        carried it (``proto`` labels the accounting; a binary frame
+        arrives already decoded by
+        :func:`~repro.server.protocol.decode_bin_request`).  The
+        response still holds :class:`Prediction` objects — the framing
+        edge encodes it (:func:`~repro.server.protocol.encode_reply`).
+        ``srv`` is the traced reply's ``(queue_us, handler_us)`` pair,
+        ``None`` for untraced requests.  ``conn_ctx`` is the
+        connection's ``[sid, last_rid]`` binding: a full ``ctx`` stores
+        its identity there, and bare requests on a bound connection
+        (every binary frame is one) inherit the sid with the next
         consecutive rid (the stream delivers in order, so counting
         arrivals reproduces the client's own rid counter exactly).
         """
         op = request.get("op")
-        handler = self._HANDLERS.get(op)
+        handler = self._HANDLERS.get(op) if type(op) is str else None
         if "ctx" in request:
             sid, rid = self._request_ctx(request)
             if sid is not None and conn_ctx is not None:
@@ -609,34 +607,19 @@ class OracleServer:
         handler_s = time.perf_counter() - t0
         # bucket unknown ops together: op names are client-controlled
         # and must not grow the latency table without bound
-        key = op if isinstance(op, str) and op in self._HANDLERS else "<unknown>"
-        self._observe_latency(key, "json", handler_s)
+        key = op if handler is not None else "<unknown>"
+        self._observe_latency(key, proto, handler_s)
         if recv_ts is not None:
-            qhist = self._queue_latency
-            if qhist is None:
-                qhist = obs_metrics.get_registry().histogram(
-                    "pythia_server_queue_seconds",
-                    buckets=LATENCY_BUCKETS_S,
-                    help="Frame arrival to handler start (dispatch queue time)",
-                )
-                self._queue_latency = qhist
-            qhist.observe(queue_s)
-        extra = None
+            self._observe_queue(queue_s)
+        srv = None
         if sid is not None:
             # reply timing: lets the client decompose its observed
-            # round-trip into wire / queue / handler components.  A
-            # positional pair of integer µs (whole-µs resolution is
-            # plenty at socket-RTT scale) in a pre-serialized fragment —
-            # this rides every traced reply, so it pays neither the
-            # dict encoder nor the bytes of spelled-out keys.  The rid
-            # is not echoed: the connection answers in order, so the
-            # client correlates replies itself; a malformed rid shows
-            # up in the session table (last_rid stops moving), not on
-            # the wire.
-            extra = ',"srv":[%d,%d]' % (
-                int(queue_s * 1e6),
-                int(handler_s * 1e6),
-            )
+            # round-trip into wire / queue / handler components.  Whole
+            # µs is plenty at socket-RTT scale.  The rid is not echoed:
+            # the connection answers in order, so the client correlates
+            # replies itself; a malformed rid shows up in the session
+            # table (last_rid stops moving), not on the wire.
+            srv = (int(queue_s * 1e6), int(handler_s * 1e6))
             # session accounting is deferred: append the raw sample to
             # the table's shared buffer (one lock-free list append — the
             # shared list keeps cross-connection arrival order, so rid
@@ -647,14 +630,15 @@ class OracleServer:
                 self.session_stats.fold()
         rec = obs_spans._recorder  # inlined get_recorder(): per-request path
         if rec is not None:
-            attrs: dict = {"op": key, "queue_us": int(queue_s * 1e6),
+            attrs: dict = {"op": key, "proto": proto,
+                           "queue_us": int(queue_s * 1e6),
                            "handler_us": int(handler_s * 1e6)}
             if sid is not None:
                 attrs["sid"] = sid
             if rid is not None:
                 attrs["rid"] = rid
             rec.emit(f"server.{key}", t0, handler_s, **attrs)
-        return response, extra
+        return response, srv
 
     def _observe_latency(self, op_key: str, proto: str, handler_s: float) -> None:
         """Record handler latency under ``{op=..., proto=...}``.
@@ -688,183 +672,81 @@ class OracleServer:
         qhist.observe(queue_s)
 
     # ------------------------------------------------------------------
-    # binary dispatch (protocol v2 hot ops)
+    # resolve: the one place that reads both request spellings
     # ------------------------------------------------------------------
 
-    def _dispatch_binary(
-        self,
-        opcode: int,
-        flags: int,
-        body: bytes,
-        conn_id: int,
-        recv_ts: float | None = None,
-        conn_ctx: list | None = None,
-    ) -> bytes:
-        """Handle one binary hot request; returns the reply frame bytes.
-
-        The binary spelling of ``observe`` / ``observe_predict`` /
-        ``predict``: the client already resolved ``(name, payload)`` to
-        a terminal id against the registry it fetched at
-        ``open_session`` (or set :data:`F_UNKNOWN_EVENT` when the
-        lookup missed), so the handler is the same tracker call the
-        JSON path makes — predictions are byte-identical.  Accounting
-        mirrors :meth:`_dispatch` exactly: counters, per-(op, proto)
-        latency, queue time, implicit-rid session telemetry, spans, and
-        the traced-reply timing pair (:data:`F_HAS_SRV` + a
-        ``(queue_us, handler_us)`` body prefix, the binary ``srv``).
-        """
-        op = BIN_OPS.get(opcode)
-        if conn_ctx is not None and conn_ctx[0] is not None:
-            # binary frames never carry ctx: on a bound connection they
-            # are "bare" requests and inherit the next consecutive rid
-            sid = conn_ctx[0]
-            rid = conn_ctx[1] = conn_ctx[1] + 1
-        else:
-            sid = rid = None
-        t0 = time.perf_counter()
-        queue_s = max(0.0, t0 - recv_ts) if recv_ts is not None else 0.0
-        failed = False
-        try:
-            if op is None:
-                raise RequestError(
-                    "unknown_op", f"unknown binary opcode 0x{opcode:02x}"
-                )
-            try:
-                snum, terminal, distance = BIN_REQ.unpack(body)
-            except struct.error as exc:
-                raise RequestError(
-                    "bad_request", f"binary request body must be >IIH: {exc}"
-                ) from exc
-            with self._lock:
-                session = self._sessions_by_num.get(snum)
-            if session is None:
-                raise RequestError(
-                    "no_such_session", f"unknown session s{snum}"
-                )
-            with obs_profiler.tag_op(op):
-                if opcode == OP_PREDICT:
-                    if distance < 1:
-                        raise RequestError(
-                            "bad_request", "'distance' must be a positive integer"
-                        )
-                    with session.lock:
-                        pred = session.tracker.predict(
-                            distance, with_time=bool(flags & F_WITH_TIME)
-                        )
-                    with self._lock:
-                        self.counters["predictions_served"] += 1
-                    pred_flags, pred_body = encode_bin_prediction(pred)
-                    reply = (OP_REPLY_PREDICT, pred_flags, pred_body)
-                else:
-                    # observe / observe_predict share the observe half
-                    unknown = bool(flags & F_UNKNOWN_EVENT)
-                    if not unknown and not (
-                        0 <= terminal < len(session.bundle.registry)
-                    ):
-                        raise RequestError(
-                            "bad_request", f"terminal {terminal} not in registry"
-                        )
-                    if opcode == OP_OBSERVE:
-                        with session.lock:
-                            matched = (
-                                session.tracker.observe_unknown()
-                                if unknown
-                                else session.tracker.observe(terminal)
-                            )
-                        with self._lock:
-                            self.counters["events_observed"] += 1
-                        reply = (
-                            OP_REPLY_MATCHED,
-                            F_MATCHED if matched else 0,
-                            b"",
-                        )
-                    else:  # OP_OBSERVE_PREDICT
-                        if distance < 1:
-                            raise RequestError(
-                                "bad_request",
-                                "'distance' must be a positive integer",
-                            )
-                        require_match = bool(flags & F_REQUIRE_MATCH)
-                        with session.lock:
-                            matched = (
-                                session.tracker.observe_unknown()
-                                if unknown
-                                else session.tracker.observe(terminal)
-                            )
-                            predicted = not (require_match and not matched)
-                            pred = (
-                                session.tracker.predict(
-                                    distance,
-                                    with_time=bool(flags & F_WITH_TIME),
-                                )
-                                if predicted
-                                else None
-                            )
-                        with self._lock:
-                            self.counters["events_observed"] += 1
-                            if predicted:
-                                self.counters["predictions_served"] += 1
-                        pred_flags, pred_body = encode_bin_prediction(pred)
-                        if matched:
-                            pred_flags |= F_MATCHED
-                        reply = (OP_REPLY_PREDICT, pred_flags, pred_body)
-        except RequestError as exc:
-            failed = True
-            with self._lock:
-                self.counters["requests_failed"] += 1
-            reply = None
-            err = (exc.code, str(exc))
-        except Exception as exc:  # defensive: never leak an exception
-            failed = True
-            with self._lock:
-                self.counters["requests_failed"] += 1
-            reply = None
-            err = ("internal", f"{type(exc).__name__}: {exc}")
-        handler_s = time.perf_counter() - t0
-        key = op if op is not None else "<unknown>"
-        self._observe_latency(key, "binary", handler_s)
-        if recv_ts is not None:
-            self._observe_queue(queue_s)
-        srv_prefix = b""
-        if sid is not None:
-            srv_prefix = SRV_PAIR.pack(
-                min(int(queue_s * 1e6), 0xFFFFFFFF),
-                min(int(handler_s * 1e6), 0xFFFFFFFF),
-            )
-            pending = self.session_stats.pending
-            pending.append((sid, key, rid, queue_s, handler_s, failed))
-            if len(pending) >= 64:
-                self.session_stats.fold()
-        rec = obs_spans._recorder  # inlined get_recorder(): per-request path
-        if rec is not None:
-            attrs: dict = {"op": key, "proto": "binary",
-                           "queue_us": int(queue_s * 1e6),
-                           "handler_us": int(handler_s * 1e6)}
-            if sid is not None:
-                attrs["sid"] = sid
-            if rid is not None:
-                attrs["rid"] = rid
-            rec.emit(f"server.{key}", t0, handler_s, **attrs)
-        if reply is None:
-            # error frames carry the timing prefix too; F_HAS_SRV tells
-            # the decoder where the JSON error body starts
-            reply = (
-                OP_REPLY_ERROR, 0,
-                encode_json_body({"code": err[0], "error": err[1]}),
-            )
-        opcode_out, flags_out, body_out = reply
-        if srv_prefix:
-            flags_out |= F_HAS_SRV
-            body_out = srv_prefix + body_out
-        return encode_bin_frame(opcode_out, flags_out, body_out)
-
     def _session(self, request: dict) -> _Session:
-        sid = request.get("session")
+        """The request's session, by ``session`` id or binary ``snum``."""
+        snum = request.get("snum")
         with self._lock:
-            session = self._sessions.get(sid)
+            if snum is None:
+                key = request.get("session")
+                session = self._sessions.get(key)
+            else:
+                key = f"s{snum}"
+                session = self._sessions_by_num.get(snum)
         if session is None:
-            raise RequestError("no_such_session", f"unknown session {sid!r}")
+            raise RequestError("no_such_session", f"unknown session {key!r}")
         return session
+
+    @staticmethod
+    def _event(session: _Session, request: dict) -> int | None:
+        """The request's event as a terminal id; ``None`` when the event
+        is absent from the reference run (``observe_unknown``).
+
+        Spelled ``name``/``payload``, or as the ``terminal`` a binary
+        client already resolved against the registry it fetched at
+        ``open_session`` (``None`` for an unknown event).
+        """
+        if "terminal" not in request:
+            return OracleServer._lookup(
+                session, request.get("name"), request.get("payload")
+            )
+        terminal = request["terminal"]
+        if terminal is not None and (
+            type(terminal) is not int
+            or not 0 <= terminal < len(session.bundle.registry)
+        ):
+            raise RequestError("bad_request", f"terminal {terminal!r} not in registry")
+        return terminal
+
+    @staticmethod
+    def _lookup(session: _Session, name, payload) -> int | None:
+        """``(name, payload)`` -> terminal id: the lookup ``Pythia.event`` runs."""
+        if not isinstance(name, str):
+            raise RequestError("bad_request", "'name' must be a string")
+        return session.bundle.registry.lookup(Event(name, decode_payload(payload)))
+
+    @staticmethod
+    def _batch(session: _Session, events: list) -> list[int | None]:
+        """Every ``[name]`` / ``[name, payload]`` item as a terminal id."""
+        terminals = []
+        for item in events:
+            if not isinstance(item, (list, tuple)) or not 1 <= len(item) <= 2:
+                raise RequestError(
+                    "bad_request", "each event must be [name] or [name, payload]"
+                )
+            terminals.append(OracleServer._lookup(
+                session, item[0], item[1] if len(item) == 2 else None
+            ))
+        return terminals
+
+    @staticmethod
+    def _distance(request: dict) -> int:
+        distance = request.get("distance", 1)
+        if not isinstance(distance, int) or distance < 1:
+            raise RequestError("bad_request", "'distance' must be a positive integer")
+        return distance
+
+    @staticmethod
+    def _observe(session: _Session, terminals: list[int | None]) -> list[bool]:
+        """Mirror of ``Pythia.event`` in predict mode, once per terminal
+        (under ``session.lock``)."""
+        tracker = session.tracker
+        return [
+            tracker.observe_unknown() if t is None else tracker.observe(t)
+            for t in terminals
+        ]
 
     # -- handlers --------------------------------------------------------
 
@@ -937,20 +819,11 @@ class OracleServer:
             self.counters["sessions_closed"] += 1
         return {"session": session.session_id}
 
-    def _observe_one(self, session: _Session, name, payload) -> bool:
-        """Mirror of ``Pythia.event`` in predict mode (same semantics)."""
-        if not isinstance(name, str):
-            raise RequestError("bad_request", "'name' must be a string")
-        terminal = session.bundle.registry.lookup(Event(name, decode_payload(payload)))
-        tracker = session.tracker
-        if terminal is None:
-            return tracker.observe_unknown()
-        return tracker.observe(terminal)
-
     def _op_observe(self, request: dict, conn_id: int) -> dict:
         session = self._session(request)
+        terminal = self._event(session, request)
         with session.lock:
-            matched = self._observe_one(session, request.get("name"), request.get("payload"))
+            (matched,) = self._observe(session, [terminal])
         with self._lock:
             self.counters["events_observed"] += 1
         return {"matched": matched}
@@ -960,16 +833,9 @@ class OracleServer:
         events = request.get("events")
         if not isinstance(events, list):
             raise RequestError("bad_request", "'events' must be a list of [name, payload]")
-        matched: list[bool] = []
+        terminals = self._batch(session, events)
         with session.lock:
-            for item in events:
-                if not isinstance(item, (list, tuple)) or not 1 <= len(item) <= 2:
-                    raise RequestError(
-                        "bad_request", "each event must be [name] or [name, payload]"
-                    )
-                name = item[0]
-                payload = item[1] if len(item) == 2 else None
-                matched.append(self._observe_one(session, name, payload))
+            matched = self._observe(session, terminals)
         with self._lock:
             self.counters["events_observed"] += len(matched)
         return {"matched": matched}
@@ -977,16 +843,14 @@ class OracleServer:
     def _op_observe_predict(self, request: dict, conn_id: int) -> dict:
         """Fused observe + predict: one round trip for the runtime loop.
 
-        Observes ``name``/``payload`` (or, batched, every ``events``
+        Observes the request's event (or, batched, every ``events``
         item) and then predicts once — equivalent to an ``observe`` (or
         ``observe_batch``) request followed by ``predict``, in one frame.
         With ``require_match`` the predict half is skipped when the last
-        event mismatched and ``prediction`` is ``null``.
+        event mismatched and ``prediction`` is ``None``.
         """
         session = self._session(request)
-        distance = request.get("distance", 1)
-        if not isinstance(distance, int) or distance < 1:
-            raise RequestError("bad_request", "'distance' must be a positive integer")
+        distance = self._distance(request)
         with_time = bool(request.get("with_time", False))
         require_match = bool(request.get("require_match", False))
         events = request.get("events")
@@ -996,18 +860,11 @@ class OracleServer:
                 raise RequestError(
                     "bad_request", "'events' must be a non-empty list of [name, payload]"
                 )
+            terminals = self._batch(session, events)
         else:
-            events = [[request.get("name"), request.get("payload")]]
-        matched: list[bool] = []
+            terminals = [self._event(session, request)]
         with session.lock:
-            for item in events:
-                if not isinstance(item, (list, tuple)) or not 1 <= len(item) <= 2:
-                    raise RequestError(
-                        "bad_request", "each event must be [name] or [name, payload]"
-                    )
-                name = item[0]
-                payload = item[1] if len(item) == 2 else None
-                matched.append(self._observe_one(session, name, payload))
+            matched = self._observe(session, terminals)
             predicted = not (require_match and not matched[-1])
             pred = (
                 session.tracker.predict(distance, with_time=with_time)
@@ -1018,28 +875,21 @@ class OracleServer:
             self.counters["events_observed"] += len(matched)
             if predicted:
                 self.counters["predictions_served"] += 1
-        return {
-            "matched": matched if batched else matched[0],
-            "prediction": encode_prediction(pred),
-        }
+        return {"matched": matched if batched else matched[0], "prediction": pred}
 
     def _op_predict(self, request: dict, conn_id: int) -> dict:
         session = self._session(request)
-        distance = request.get("distance", 1)
-        if not isinstance(distance, int) or distance < 1:
-            raise RequestError("bad_request", "'distance' must be a positive integer")
+        distance = self._distance(request)
         with_time = bool(request.get("with_time", False))
         with session.lock:
             pred = session.tracker.predict(distance, with_time=with_time)
         with self._lock:
             self.counters["predictions_served"] += 1
-        return {"prediction": encode_prediction(pred)}
+        return {"prediction": pred}
 
     def _op_predict_duration(self, request: dict, conn_id: int) -> dict:
         session = self._session(request)
-        distance = request.get("distance", 1)
-        if not isinstance(distance, int) or distance < 1:
-            raise RequestError("bad_request", "'distance' must be a positive integer")
+        distance = self._distance(request)
         with session.lock:
             eta = session.tracker.predict_duration(distance)
         with self._lock:
@@ -1053,9 +903,7 @@ class OracleServer:
         saving the client a registry fetch (the CLI uses it).
         """
         session = self._session(request)
-        distance = request.get("distance", 1)
-        if not isinstance(distance, int) or distance < 1:
-            raise RequestError("bad_request", "'distance' must be a positive integer")
+        distance = self._distance(request)
         top_k = request.get("top_k", 3)
         if not isinstance(top_k, int) or not 1 <= top_k <= 64:
             raise RequestError("bad_request", "'top_k' must be in [1, 64]")

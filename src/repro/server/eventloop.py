@@ -33,10 +33,17 @@ thread:
   counts ``connections_dropped`` and closes that connection only: the
   loop, and every other client, keeps going.
 
-Accounting — counters, ``_inflight`` for drain, per-(op, proto)
-latency histograms, session telemetry — goes through the server's own
-``_dispatch`` / ``_dispatch_binary``; the loop adds drain-time
-rejection with the retryable ``shutting_down`` code.
+The loop is the framing edge of the daemon's one request path: a JSON
+frame is a request already, a binary frame is decoded into one
+(:func:`~repro.server.protocol.decode_bin_request`), every request runs
+through the server's single ``_dispatch`` — counters, per-(op, proto)
+latency histograms, session telemetry, spans — and the reply is encoded
+back into the request's framing
+(:func:`~repro.server.protocol.encode_reply`), ``max_frame`` enforced
+for both.  The loop adds ``_inflight`` for drain and drain-time
+rejection with the retryable ``shutting_down`` code.  A reply that
+cannot be sent (e.g. larger than ``max_frame``) closes the connection
+at once, so the peer sees EOF instead of waiting for its timeout.
 """
 
 from __future__ import annotations
@@ -50,15 +57,12 @@ from collections import deque
 
 from repro.obs.log import get_logger
 from repro.server.protocol import (
-    OP_JSON,
     ConnectionClosed,
     FrameParser,
     ProtocolError,
-    encode_bin_error,
-    encode_bin_frame,
-    encode_json_body,
+    decode_bin_request,
     encode_json_frame,
-    _parse_json_body,
+    encode_reply,
 )
 
 __all__ = ["ConnectionLoop", "SLOW_OPS"]
@@ -280,7 +284,9 @@ class ConnectionLoop:
             self._handle_frame(conn, frame)
         if conn.closed:
             return
-        if conn.out:
+        if conn.out or conn.closing:
+            # _flush closes a closing connection once ``out`` is empty,
+            # which is at once when nothing was queued
             self._flush(conn)
         if conn.eof and not (conn.busy or conn.closed or conn.closing):
             if conn.out:
@@ -303,25 +309,20 @@ class ConnectionLoop:
     def _handle_frame(self, conn: _Conn, frame: tuple) -> None:
         server = self._server
         recv_ts = time.perf_counter()
-        wrap = False
         if frame[0] == "json":
-            request = frame[1]
+            request, proto = frame[1], "json"
         else:
-            _kind, opcode, _flags, body = frame
-            if opcode == OP_JSON:
-                try:
-                    request = _parse_json_body(body)
-                except ProtocolError as exc:
-                    self._protocol_error(conn, exc)
-                    return
-                wrap = True
-            else:
-                request = None
-        op = request.get("op") if request is not None else None
+            try:
+                request = decode_bin_request(*frame[1:])
+            except ProtocolError as exc:
+                self._protocol_error(conn, exc)
+                return
+            proto = "binary"
+        op = request.get("op")
+        if type(op) is not str:
+            op = None  # unhashable or absent: answered unknown_op
         with server._lock:
-            rejected = server._draining.is_set() and (
-                request is None or op not in server._DRAIN_OPS
-            )
+            rejected = server._draining.is_set() and op not in server._DRAIN_OPS
             if rejected:
                 server.counters["requests_rejected_draining"] += 1
             else:
@@ -329,58 +330,33 @@ class ConnectionLoop:
         if rejected:
             # late request during drain: refuse retryably in the
             # request's own framing, keep the connection alive
-            if request is None:
-                conn.out += encode_bin_error(
-                    _DRAIN_REPLY["code"], _DRAIN_REPLY["error"]
-                )
-            elif wrap:
-                conn.out += encode_bin_frame(
-                    OP_JSON, 0, encode_json_body(_DRAIN_REPLY)
-                )
-            else:
-                conn.out += encode_json_frame(_DRAIN_REPLY)
+            conn.out += encode_reply(_DRAIN_REPLY, None, proto)
             return
-        if request is not None and op in SLOW_OPS:
+        if op in SLOW_OPS:
             conn.busy = True
-            self._slow_q.put((conn, request, wrap, recv_ts))
+            self._slow_q.put((conn, request, proto, recv_ts))
             return  # _inflight is released by the sidecar
         try:
-            reply = self._execute(conn, request, frame, wrap, recv_ts)
+            conn.out += self._execute(conn, request, proto, recv_ts)
         except Exception:
             # e.g. a reply that outgrew max_frame: flush what is queued,
             # then drop only this connection
             with server._lock:
                 server.counters["connections_dropped"] += 1
             conn.closing = True
-            reply = b""
         finally:
             with server._lock:
                 server._inflight -= 1
-        conn.out += reply
 
     def _execute(
-        self, conn: _Conn, request: dict | None, frame: tuple | None,
-        wrap: bool, recv_ts: float,
+        self, conn: _Conn, request: dict, proto: str, recv_ts: float
     ) -> bytes:
-        """One request -> its reply frame bytes (either framing)."""
+        """One request -> its reply frame bytes, in ``proto`` framing."""
         server = self._server
-        if request is not None:
-            response, extra = server._dispatch(
-                request, conn.conn_id, recv_ts, conn.ctx
-            )
-            if wrap:
-                return encode_bin_frame(
-                    OP_JSON, 0, encode_json_body(response, extra=extra),
-                    max_frame=server.max_frame,
-                )
-            return encode_json_frame(
-                response, max_frame=server.max_frame, extra=extra
-            )
-        assert frame is not None
-        _kind, opcode, flags, body = frame
-        return server._dispatch_binary(
-            opcode, flags, body, conn.conn_id, recv_ts, conn.ctx
+        response, srv = server._dispatch(
+            request, conn.conn_id, recv_ts, conn.ctx, proto
         )
+        return encode_reply(response, srv, proto, max_frame=server.max_frame)
 
     # -- sidecar for slow ops -------------------------------------------
 
@@ -390,9 +366,9 @@ class ConnectionLoop:
             item = self._slow_q.get()
             if item is None:
                 return
-            conn, request, wrap, recv_ts = item
+            conn, request, proto, recv_ts = item
             try:
-                reply = self._execute(conn, request, None, wrap, recv_ts)
+                reply = self._execute(conn, request, proto, recv_ts)
                 ok = True
             except Exception:
                 reply, ok = b"", False

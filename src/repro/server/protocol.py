@@ -57,23 +57,27 @@ framing that coexists with JSON *per frame* on one connection:
   ``0x00`` while ``max_frame`` stays below 16 MiB — so the first byte
   of every frame says which framing follows, no connection state
   needed, and replies mirror the request's framing;
-- hot requests (:data:`OP_OBSERVE` / :data:`OP_OBSERVE_PREDICT` /
-  :data:`OP_PREDICT`) carry a ``>IIH`` body — numeric session id,
-  interned terminal id, distance — instead of strings: the client
-  resolves ``(name, payload)`` against the registry it fetched at
-  ``open_session`` (event-id interning), exactly the lookup the daemon
-  would have done, so predictions stay byte-identical across framings
-  (an event absent from the registry sets :data:`F_UNKNOWN_EVENT` and
-  the daemon runs the same ``observe_unknown`` path);
+- binary frames carry exactly three requests (:data:`OP_OBSERVE` /
+  :data:`OP_OBSERVE_PREDICT` / :data:`OP_PREDICT`), each a ``>IIH``
+  body — numeric session id, interned terminal id, distance — instead
+  of strings: the client resolves ``(name, payload)`` against the
+  registry it fetched at ``open_session`` (event-id interning), exactly
+  the lookup the daemon would have done, so predictions stay
+  byte-identical across framings (an event absent from the registry
+  sets :data:`F_UNKNOWN_EVENT` and the daemon runs the same
+  ``observe_unknown`` path).  :func:`decode_bin_request` turns such a
+  frame into the request dict the daemon dispatches — ``snum`` and
+  ``terminal`` are the binary spellings of ``session`` and
+  ``name``/``payload`` — and a body that is not ``>IIH`` is a framing
+  violation, like a JSON body that does not parse;
 - replies pack matched/prediction into flags + a fixed-layout body
   (IEEE-754 doubles travel exactly); traced replies prepend the same
-  ``(queue_us, handler_us)`` pair ``srv`` carries in JSON;
-- ``OP_JSON`` wraps a regular JSON object in a binary frame (used by
-  peers that want one framing for everything — the supervisor's
-  router understands it);
+  ``(queue_us, handler_us)`` pair ``srv`` carries in JSON.
+  :func:`encode_reply` is the one reply encoder, for both framings;
 - everything else — negotiation (``hello``), ``open_session``,
   batches, admin ops — stays length-prefixed JSON, so old clients,
-  ``socat`` debugging and the admin/HTTP surfaces work unchanged.
+  ``socat`` debugging and the admin/HTTP surfaces work unchanged.  Any
+  other opcode, ``0x00`` included, is answered ``unknown_op``.
 
 Negotiation is one JSON ``hello`` request: a v2 daemon answers
 ``{"ok": true, "binary": true}``, an old daemon answers ``unknown_op``
@@ -102,7 +106,6 @@ __all__ = [
     "FrameTooLarge",
     "ConnectionClosed",
     "FrameParser",
-    "OP_JSON",
     "OP_OBSERVE",
     "OP_OBSERVE_PREDICT",
     "OP_PREDICT",
@@ -123,7 +126,8 @@ __all__ = [
     "encode_json_body",
     "encode_json_frame",
     "encode_bin_frame",
-    "encode_bin_error",
+    "decode_bin_request",
+    "encode_reply",
     "decode_bin_error",
     "encode_payload",
     "decode_payload",
@@ -150,7 +154,6 @@ BIN_MAGIC = 0xA7
 _BIN_HEADER = struct.Struct(">BBHI")
 
 # request opcodes
-OP_JSON = 0x00  # body is a UTF-8 JSON object (request or reply)
 OP_OBSERVE = 0x01
 OP_OBSERVE_PREDICT = 0x02
 OP_PREDICT = 0x03
@@ -254,7 +257,9 @@ def _parse_json_body(body: bytes) -> dict:
     """A frame body as a JSON object, or :class:`ProtocolError`."""
     try:
         obj = json.loads(body.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except ValueError as exc:
+        # UnicodeDecodeError and JSONDecodeError, and also an integer
+        # literal beyond the interpreter's int-conversion digit limit
         raise ProtocolError(f"frame body is not valid JSON: {exc}") from exc
     except RecursionError as exc:
         # a few thousand "[" are enough; it must stay a framing
@@ -275,30 +280,26 @@ def read_frame_any(
     decides (see :data:`BIN_MAGIC`).  Raises the same errors as
     :func:`read_frame`.
     """
-    first = _recv_exact(sock, 1)
-    if first is None:
+    # both headers are at least 4 bytes: one read covers a JSON header
+    head = _recv_exact(sock, _HEADER.size)
+    if head is None:
         return None
-    if first[0] != BIN_MAGIC:
-        rest = _recv_exact(sock, _HEADER.size - 1)
+    binary = head[0] == BIN_MAGIC
+    if binary:
+        rest = _recv_exact(sock, _BIN_HEADER.size - _HEADER.size)
         if rest is None:
             raise ConnectionClosed("connection closed mid-frame", partial=True)
-        (length,) = _HEADER.unpack(first + rest)
-        if length > max_frame:
-            raise FrameTooLarge(f"frame of {length} bytes exceeds limit {max_frame}")
-        body = _recv_exact(sock, length) if length else b""
-        if body is None:
-            raise ConnectionClosed("connection closed mid-frame", partial=True)
-        return "json", _parse_json_body(body)
-    rest = _recv_exact(sock, _BIN_HEADER.size - 1)
-    if rest is None:
-        raise ConnectionClosed("connection closed mid-frame", partial=True)
-    _magic, opcode, flags, length = _BIN_HEADER.unpack(first + rest)
+        _magic, opcode, flags, length = _BIN_HEADER.unpack(head + rest)
+    else:
+        (length,) = _HEADER.unpack(head)
     if length > max_frame:
         raise FrameTooLarge(f"frame of {length} bytes exceeds limit {max_frame}")
     body = _recv_exact(sock, length) if length else b""
     if body is None:
         raise ConnectionClosed("connection closed mid-frame", partial=True)
-    return "bin", opcode, flags, body
+    if binary:
+        return "bin", opcode, flags, body
+    return "json", _parse_json_body(body)
 
 
 class FrameParser:
@@ -405,12 +406,6 @@ def encode_bin_frame(
     return _BIN_HEADER.pack(BIN_MAGIC, opcode, flags, len(body)) + body
 
 
-def encode_bin_error(code: str, message: str) -> bytes:
-    """An :data:`OP_REPLY_ERROR` frame (body mirrors the JSON error shape)."""
-    body = json.dumps({"code": code, "error": message}).encode("utf-8")
-    return encode_bin_frame(OP_REPLY_ERROR, 0, body)
-
-
 def decode_bin_error(body: bytes, offset: int = 0) -> tuple[str, str]:
     """``(code, message)`` from an :data:`OP_REPLY_ERROR` body."""
     obj = _parse_json_body(bytes(body[offset:]))
@@ -423,7 +418,6 @@ def write_frame(
     *,
     max_frame: int = DEFAULT_MAX_FRAME,
     extra: str | None = None,
-    scratch: bytearray | None = None,
 ) -> None:
     """Serialize ``obj`` and send it as one frame.
 
@@ -434,26 +428,82 @@ def write_frame(
     identical to encoding the field normally.  The caller guarantees
     the fragment is valid JSON and ``obj`` is a non-empty dict (every
     protocol frame carries at least ``op`` or ``ok``).
-
-    ``scratch`` is an optional reusable send buffer: header and body
-    are assembled in place and sent as one ``sendall``, skipping the
-    per-frame ``header + body`` concatenation (a fresh allocation on
-    every request).  Frames larger than the buffer fall back to the
-    allocating path; the bytes on the wire are identical either way.
     """
-    body = json.dumps(obj, separators=(",", ":"))
-    if extra:
-        body = body[:-1] + extra + "}"
-    encoded = body.encode("utf-8")
-    n = len(encoded)
-    if n > max_frame:
-        raise FrameTooLarge(f"frame of {n} bytes exceeds limit {max_frame}")
-    if scratch is not None and _HEADER.size + n <= len(scratch):
-        _HEADER.pack_into(scratch, 0, n)
-        scratch[_HEADER.size : _HEADER.size + n] = encoded
-        sock.sendall(memoryview(scratch)[: _HEADER.size + n])
-    else:
-        sock.sendall(_HEADER.pack(n) + encoded)
+    sock.sendall(encode_json_frame(obj, max_frame=max_frame, extra=extra))
+
+
+def decode_bin_request(opcode: int, flags: int, body: bytes) -> dict:
+    """A binary request frame as the request dict the daemon dispatches.
+
+    ``snum`` stands for ``session`` and ``terminal`` (``None`` under
+    :data:`F_UNKNOWN_EVENT`) for ``name``/``payload``; the daemon's one
+    resolve step reads either spelling.  An opcode without a binary
+    request spelling decodes to an op no handler serves, so it is
+    answered ``unknown_op``.  A body that is not ``>IIH`` raises
+    :class:`ProtocolError`: the frame itself is malformed.
+    """
+    op = BIN_OPS.get(opcode)
+    if op is None:
+        return {"op": f"binary opcode 0x{opcode:02x}"}
+    try:
+        snum, terminal, distance = BIN_REQ.unpack(body)
+    except struct.error as exc:
+        raise ProtocolError(
+            f"binary {op} body must be {BIN_REQ.size} bytes (>IIH), got {len(body)}"
+        ) from exc
+    return {
+        "op": op,
+        "snum": snum,
+        "terminal": None if flags & F_UNKNOWN_EVENT else terminal,
+        "distance": distance,
+        "with_time": bool(flags & F_WITH_TIME),
+        "require_match": bool(flags & F_REQUIRE_MATCH),
+    }
+
+
+def encode_reply(
+    response: dict,
+    srv: tuple[int, int] | None,
+    proto: str,
+    *,
+    max_frame: int = DEFAULT_MAX_FRAME,
+) -> bytes:
+    """One reply frame in the request's framing (``"json"``/``"binary"``).
+
+    ``response`` is a handler's result: ``ok`` plus result fields, a
+    ``prediction`` still a :class:`Prediction` (or ``None``), or
+    ``ok: false`` with ``code``/``error``.  ``srv`` is the traced
+    reply's ``(queue_us, handler_us)``.  A binary reply is an error
+    frame, a prediction frame (``matched`` rides as :data:`F_MATCHED`)
+    or a matched-only frame.  Raises :class:`FrameTooLarge` beyond
+    ``max_frame``, either framing.
+    """
+    if proto == "binary":
+        if not response["ok"]:
+            opcode, flags = OP_REPLY_ERROR, 0
+            body = encode_json_body(
+                {"code": response["code"], "error": response["error"]}
+            )
+        elif "prediction" in response:
+            opcode = OP_REPLY_PREDICT
+            flags, body = encode_bin_prediction(response["prediction"])
+            if response.get("matched"):
+                flags |= F_MATCHED
+        else:
+            opcode, body = OP_REPLY_MATCHED, b""
+            flags = F_MATCHED if response["matched"] else 0
+        if srv is not None:
+            # error frames carry the prefix too; F_HAS_SRV tells the
+            # decoder where the body proper starts
+            flags |= F_HAS_SRV
+            body = SRV_PAIR.pack(min(srv[0], 0xFFFFFFFF), min(srv[1], 0xFFFFFFFF)) + body
+        return encode_bin_frame(opcode, flags, body, max_frame=max_frame)
+    if "prediction" in response:
+        response["prediction"] = encode_prediction(response["prediction"])
+    # positional integer µs in a pre-serialized fragment: it rides every
+    # traced reply, so it pays neither the dict encoder nor spelled-out keys
+    extra = ',"srv":[%d,%d]' % srv if srv is not None else None
+    return encode_json_frame(response, max_frame=max_frame, extra=extra)
 
 
 # ----------------------------------------------------------------------

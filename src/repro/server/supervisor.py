@@ -72,9 +72,7 @@ from repro.server.daemon import OracleServer
 from repro.server.protocol import (
     BIN_MAGIC,
     DEFAULT_MAX_FRAME,
-    OP_JSON,
     ProtocolError,
-    _BIN_HEADER,
     _parse_json_body,
     read_frame,
     write_frame,
@@ -542,36 +540,27 @@ class OracleSupervisor:
         round-robins the connection; the worker will produce the real
         protocol error, exactly as a single-process daemon would.
 
-        Understands both framings: length-prefixed JSON and the v2
-        binary framing (first byte ``0xA7``).  A binary ``OP_JSON``
-        wrapper is unwrapped and its JSON parsed for ctx; any other
-        binary opcode is a bare steady-state frame with no session id
-        on the wire, so the connection routes blind.
+        Only a length-prefixed JSON frame can carry a session id.  A
+        v2 binary frame (first byte ``0xA7``) is a bare steady-state
+        request with no session id on the wire, so the connection
+        routes blind.
         """
         conn.settimeout(None)
         buf = conn.recv(_HEADER.size, socket.MSG_PEEK)
-        if not buf:
+        if not buf or buf[0] == BIN_MAGIC:
             return None
-        binary = buf[0] == BIN_MAGIC
-        header_size = _BIN_HEADER.size if binary else _HEADER.size
         deadline = time.monotonic() + self.peek_deadline
-        want = header_size
+        want = _HEADER.size
         while True:
             if len(buf) >= want:
-                if want == header_size:
-                    if binary:
-                        _magic, opcode, _flags, length = _BIN_HEADER.unpack(
-                            buf[:header_size])
-                        if opcode != OP_JSON:
-                            return None  # bare binary op: route blind
-                    else:
-                        (length,) = _HEADER.unpack(buf[:header_size])
+                if want == _HEADER.size:
+                    (length,) = _HEADER.unpack(buf[:_HEADER.size])
                     if length > _PEEK_CAP:
                         return None  # giant first frame: route blind
-                    want = header_size + length
+                    want = _HEADER.size + length
                     continue
                 try:
-                    return _parse_json_body(buf[header_size:want])
+                    return _parse_json_body(buf[_HEADER.size:want])
                 except ProtocolError:
                     return None
             if time.monotonic() >= deadline:

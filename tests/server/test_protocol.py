@@ -8,6 +8,8 @@ import threading
 import time
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from repro.core.predict import Prediction
 from repro.server.protocol import (
@@ -153,16 +155,20 @@ from repro.server.protocol import (  # noqa: E402
     BIN_MAGIC,
     BIN_REQ,
     F_HAS_PRED,
+    F_HAS_SRV,
     FrameParser,
-    OP_JSON,
+    OP_OBSERVE,
     OP_OBSERVE_PREDICT,
+    OP_PREDICT,
     OP_REPLY_ERROR,
+    OP_REPLY_MATCHED,
+    OP_REPLY_PREDICT,
     decode_bin_error,
     decode_bin_prediction,
-    encode_bin_error,
     encode_bin_frame,
     encode_bin_prediction,
     encode_json_frame,
+    encode_reply,
     read_frame_any,
 )
 
@@ -200,17 +206,20 @@ class TestBinaryFrames:
 
     def test_oversized_binary_frame_rejected(self, pair):
         a, b = pair
-        a.sendall(struct.pack(">BBHI", BIN_MAGIC, OP_JSON, 0, 1 << 30))
+        a.sendall(struct.pack(">BBHI", BIN_MAGIC, OP_OBSERVE_PREDICT, 0, 1 << 30))
         with pytest.raises(FrameTooLarge):
             read_frame_any(b, max_frame=1024)
 
     def test_oversized_binary_frame_rejected_on_encode(self):
         with pytest.raises(FrameTooLarge):
-            encode_bin_frame(OP_JSON, 0, b"x" * 2048, max_frame=1024)
+            encode_bin_frame(OP_OBSERVE_PREDICT, 0, b"x" * 2048, max_frame=1024)
 
     def test_error_frame_round_trip(self, pair):
         a, b = pair
-        a.sendall(encode_bin_error("shutting_down", "drain in progress"))
+        a.sendall(encode_reply(
+            {"ok": False, "code": "shutting_down", "error": "drain in progress"},
+            None, "binary",
+        ))
         kind, opcode, _flags, body = read_frame_any(b)
         assert (kind, opcode) == ("bin", OP_REPLY_ERROR)
         assert decode_bin_error(body) == ("shutting_down", "drain in progress")
@@ -466,3 +475,162 @@ class TestDaemonConnectionIsolation:
         for conn in conns:
             assert _ping(conn)["pong"] is True  # admitted by the loop
         assert threading.active_count() == before
+
+
+# ----------------------------------------------------------------------
+# replies beyond max_frame (bugfix: the peer waited for its timeout;
+# binary replies ignored the daemon's max_frame)
+# ----------------------------------------------------------------------
+
+
+def record_fan_trace(path: str) -> None:
+    """A hub event followed by one of 40 leaves: predicting after the
+    hub yields a wide distribution (~1 KB JSON, ~560 B binary)."""
+    import random
+
+    from repro.core.oracle import Pythia
+
+    rng = random.Random(0)
+    oracle = Pythia(path, mode="record", record_timestamps=False)
+    for _ in range(400):
+        oracle.event("hub")
+        oracle.event("leaf", rng.randrange(40))
+    oracle.finish()
+
+
+class TestDaemonOversizedReply:
+    """A reply larger than ``max_frame`` closes the connection at once,
+    whichever framing the request used."""
+
+    @pytest.fixture
+    def live(self, tmp_path):
+        from repro.server import OracleServer, TraceStore
+
+        trace = str(tmp_path / "fan.pythia")
+        record_fan_trace(trace)
+        sockp = str(tmp_path / "oracle.sock")
+        with OracleServer(sockp, store=TraceStore(capacity=2), max_frame=300) as srv:
+            conn = socket.socket(socket.AF_UNIX)
+            conn.settimeout(5.0)
+            conn.connect(sockp)
+            write_frame(conn, {"op": "open_session", "trace": trace})
+            opened = read_frame(conn)
+            write_frame(conn, {"op": "observe", "session": opened["session"],
+                               "name": "hub"})
+            assert read_frame(conn)["ok"] is True
+            conn.settimeout(1.0)  # EOF must come at once, not at a timeout
+            yield srv, conn, opened
+            conn.close()
+
+    def test_oversized_json_reply_closes_at_once(self, live):
+        srv, conn, opened = live
+        write_frame(conn, {"op": "predict", "session": opened["session"]})
+        assert read_frame(conn) is None
+        assert srv.counters["connections_dropped"] == 1
+
+    def test_oversized_binary_reply_refused_like_json(self, live):
+        srv, conn, opened = live
+        conn.sendall(encode_bin_frame(OP_PREDICT, 0, BIN_REQ.pack(opened["snum"], 0, 1)))
+        assert read_frame_any(conn) is None
+        assert srv.counters["connections_dropped"] == 1
+
+
+# ----------------------------------------------------------------------
+# fuzzing the one decode path (frames from outside the program)
+# ----------------------------------------------------------------------
+
+#: frames with a valid header over random bodies reach the body
+#: decoders, which random headers alone almost never do
+_framed_bodies = st.one_of(
+    st.binary(max_size=64).map(lambda b: struct.pack(">I", len(b)) + b),
+    st.builds(
+        lambda op, flags, b: struct.pack(">BBHI", BIN_MAGIC, op, flags, len(b)) + b,
+        st.integers(0, 255), st.integers(0, 0xFFFF), st.binary(max_size=32),
+    ),
+)
+
+
+class TestFrameParserFuzz:
+    @settings(max_examples=300, deadline=None)
+    @given(chunks=st.lists(st.one_of(st.binary(max_size=48), _framed_bodies),
+                           max_size=8))
+    # an integer literal beyond the interpreter's int-conversion digit limit
+    @example(chunks=[struct.pack(">I", 5002) + b"[" + b"1" * 5000 + b"]"])
+    def test_random_bytes_give_frames_or_protocol_error(self, chunks):
+        parser = FrameParser(max_frame=1 << 16)
+        try:
+            for chunk in chunks:
+                parser.feed(chunk)
+                while (frame := parser.next_frame()) is not None:
+                    if frame[0] == "json":
+                        assert isinstance(frame[1], dict)
+                    else:
+                        kind, opcode, flags, body = frame
+                        assert kind == "bin" and 0 <= opcode <= 255
+                        assert 0 <= flags <= 0xFFFF and isinstance(body, bytes)
+        except ProtocolError:
+            with pytest.raises(ProtocolError):  # and stays poisoned
+                parser.next_frame()
+
+
+class TestDaemonBinaryFuzz:
+    def test_random_binary_frames_get_an_answer(self, tmp_path):
+        from repro.server import OracleServer, PythiaClient, TraceStore
+
+        trace = str(tmp_path / "fan.pythia")
+        record_fan_trace(trace)
+        sockp = str(tmp_path / "oracle.sock")
+
+        def connect() -> socket.socket:
+            conn = socket.socket(socket.AF_UNIX)
+            conn.settimeout(5.0)
+            conn.connect(sockp)
+            return conn
+
+        with OracleServer(sockp, store=TraceStore(capacity=2)) as srv:
+            owner = connect()  # keeps session s1 (snum 1) open throughout
+            write_frame(owner, {"op": "open_session", "trace": trace})
+            snum = read_frame(owner)["snum"]
+
+            @settings(max_examples=150, deadline=None,
+                      suppress_health_check=[HealthCheck.too_slow])
+            @given(
+                opcode=st.one_of(st.sampled_from([OP_OBSERVE, OP_OBSERVE_PREDICT,
+                                                  OP_PREDICT, 0x00]),
+                                 st.integers(0, 255)),
+                flags=st.integers(0, 0xFFFF),
+                body=st.one_of(
+                    st.binary(max_size=16),
+                    st.builds(BIN_REQ.pack, st.sampled_from([snum, 0, 999]),
+                              st.integers(0, 64), st.integers(0, 8)),
+                ),
+            )
+            @example(opcode=OP_OBSERVE, flags=0, body=b"\x00\x01")  # short body
+            def check(opcode, flags, body):
+                conn = connect()
+                try:
+                    conn.sendall(encode_bin_frame(opcode, flags, body))
+                    reply = read_frame_any(conn)
+                    assert reply is not None
+                    if reply[0] == "json":
+                        # a malformed body is a framing violation: one
+                        # error frame, then the daemon closes
+                        assert reply[1]["ok"] is False
+                        assert reply[1]["code"] == "protocol"
+                        assert conn.recv(1) == b""
+                        conn.close()
+                        conn = connect()
+                    else:
+                        assert not reply[2] & F_HAS_SRV  # untraced connection
+                        assert reply[1] in (OP_REPLY_ERROR, OP_REPLY_MATCHED,
+                                            OP_REPLY_PREDICT)
+                        response = PythiaClient._bin_decode_reply(reply)
+                        assert response["ok"] is (reply[1] != OP_REPLY_ERROR)
+                    assert _ping(conn)["pong"] is True
+                finally:
+                    conn.close()
+
+            check()
+            assert _ping(owner)["pong"] is True
+            owner.close()
+            assert srv.counters["requests_total"] > 0

@@ -19,14 +19,21 @@ from repro.experiments.harness import mpi_record_run
 from repro.server import OracleServer, PythiaClient, TraceStore
 from repro.server.client import OracleServiceError
 from repro.server.daemon import OracleServer as _Server
+from repro.obs import metrics as obs_metrics
+from repro.obs import spans as obs_spans
+from repro.obs.metrics import LATENCY_BUCKETS_S
 from repro.server.protocol import (
+    BIN_OPS,
     BIN_REQ,
-    OP_JSON,
+    F_UNKNOWN_EVENT,
     OP_OBSERVE_PREDICT,
+    OP_REPLY_ERROR,
+    decode_bin_error,
     encode_bin_frame,
     encode_json_body,
     encode_json_frame,
     read_frame,
+    read_frame_any,
     write_frame,
 )
 from repro.server.supervisor import OracleSupervisor
@@ -179,6 +186,95 @@ class TestFramingEquivalence:
         remote.finish()
 
 
+class TestErrorParity:
+    """The same bad hot request gets the same answer and the same
+    accounting in either framing: one request path serves both."""
+
+    OPCODES = {op: code for code, op in BIN_OPS.items()}
+    CASES = [
+        ("observe", "unknown_session"),
+        ("observe_predict", "unknown_session"),
+        ("predict", "unknown_session"),
+        ("observe_predict", "distance_0"),
+        ("predict", "distance_0"),
+        ("observe", "unknown_event"),
+        ("observe_predict", "unknown_event"),
+        ("observe", "terminal_outside_registry"),
+        ("observe_predict", "terminal_outside_registry"),
+    ]
+
+    @staticmethod
+    def _json(op, case, opened, name, payload):
+        request = {"op": op, "session": opened["session"]}
+        if op != "predict":
+            request.update(name=name, payload=payload)
+        if case == "unknown_session":
+            request["session"] = "s999"
+        elif case == "distance_0":
+            request["distance"] = 0
+        elif case == "unknown_event":
+            request["name"] = "never_recorded"
+        else:  # the pre-resolved spelling, as a binary frame carries it
+            del request["name"], request["payload"]
+            request["terminal"] = 10**6
+        return encode_json_frame(request)
+
+    @classmethod
+    def _binary(cls, op, case, opened):
+        snum, terminal, distance, flags = opened["snum"], 0, 1, 0
+        if case == "unknown_session":
+            snum = 999
+        elif case == "distance_0":
+            distance = 0
+        elif case == "unknown_event":
+            flags = F_UNKNOWN_EVENT
+        else:
+            terminal = 10**6
+        return encode_bin_frame(cls.OPCODES[op], flags, BIN_REQ.pack(snum, terminal, distance))
+
+    @pytest.mark.parametrize("op,case", CASES)
+    def test_same_error_and_accounting_both_ways(self, npb_trace, server, op, case):
+        first = Pythia(npb_trace, mode="predict").reference.registry.event(0)
+        outcomes = {}
+        for proto in ("json", "binary"):
+            conn = socket.socket(socket.AF_UNIX)
+            conn.settimeout(5.0)
+            conn.connect(server.socket_path)
+            try:
+                write_frame(conn, {"op": "open_session", "trace": npb_trace})
+                opened = read_frame(conn)
+                frame = (
+                    self._json(op, case, opened, first.name, first.payload)
+                    if proto == "json" else self._binary(op, case, opened)
+                )
+                # the {op,proto} histogram lives in the process registry
+                hist = obs_metrics.get_registry().histogram(
+                    "pythia_server_request_seconds", {"op": op, "proto": proto},
+                    buckets=LATENCY_BUCKETS_S,
+                )
+                count0 = hist.snapshot()["count"]
+                failed0 = server.counters["requests_failed"]
+                with obs_spans.span_recording() as rec:
+                    conn.sendall(frame)
+                    reply = read_frame_any(conn)
+                response = (
+                    reply[1] if reply[0] == "json"
+                    else PythiaClient._bin_decode_reply(reply)
+                )
+                outcomes[proto] = (
+                    response["ok"], response.get("code"),
+                    server.counters["requests_failed"] - failed0,
+                )
+                assert hist.snapshot()["count"] == count0 + 1
+                spans = [sp for sp in rec.spans() if sp.name == f"server.{op}"]
+                assert [sp.attrs["proto"] for sp in spans] == [proto]
+            finally:
+                conn.close()
+        assert outcomes["json"] == outcomes["binary"], outcomes
+        ok, code, failed = outcomes["json"]
+        assert (ok, failed) == ((True, 0) if case == "unknown_event" else (False, 1))
+
+
 class TestPipeline:
     def test_results_in_submit_order(self, npb_trace, server):
         events = event_stream(npb_trace, limit=64)
@@ -260,11 +356,26 @@ class TestSupervisorPeekBothFramings:
         b.settimeout(1.0)
         assert read_frame(b) == request
 
-    def test_binary_json_wrapper_peeked(self, router, pair):
+    def test_opcode_zero_gets_unknown_op(self, router, pair, tmp_path):
+        """Opcode 0x00 is not a request: even with a JSON body the router
+        reads no session id from it, and a daemon answers ``unknown_op``
+        like any other unknown opcode, keeping the connection."""
         a, b = pair
         request = {"op": "observe", "session": "s1", "ctx": {"sid": "c1", "rid": 9}}
-        a.sendall(encode_bin_frame(OP_JSON, 0, encode_json_body(request)))
-        assert router._peek_first_frame(b) == request
+        frame = encode_bin_frame(0x00, 0, encode_json_body(request))
+        a.sendall(frame)
+        assert router._peek_first_frame(b) is None
+        sockp = str(tmp_path / "oracle.sock")
+        with OracleServer(sockp, store=TraceStore(capacity=1)), \
+                socket.socket(socket.AF_UNIX) as conn:
+            conn.settimeout(5.0)
+            conn.connect(sockp)
+            conn.sendall(frame)
+            _kind, opcode, _flags, body = read_frame_any(conn)
+            assert opcode == OP_REPLY_ERROR
+            assert decode_bin_error(body)[0] == "unknown_op"
+            write_frame(conn, {"op": "ping"})
+            assert read_frame(conn)["ok"] is True
 
     def test_too_deeply_nested_frame_routes_blind(self, router, pair):
         a, b = pair

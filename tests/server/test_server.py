@@ -246,6 +246,10 @@ class TestHostileClients:
         sock = self._raw(server)
         write_frame(sock, {"hello": "world"})
         assert read_frame(sock)["code"] == "unknown_op"
+        write_frame(sock, {"op": ["not", "hashable"]})
+        assert read_frame(sock)["code"] == "unknown_op"
+        write_frame(sock, {"op": "ping"})  # the connection survives both
+        assert read_frame(sock)["pong"]
         sock.close()
 
     def test_bad_session_gets_error_response(self, server):
